@@ -78,6 +78,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -218,7 +219,9 @@ func main() {
 // perfResult is one benchmark's machine-readable record. Fields are stable:
 // downstream tooling diffs them across commits. Hists carries acceptance-
 // length histograms for the -speculate sweep (bucket i = rounds accepting
-// exactly i draft tokens).
+// exactly i draft tokens). GOMAXPROCS and GoVersion, stamped by writeBench,
+// say which path a record measured: the batched decode step forks its rows
+// across GOMAXPROCS, so decode_batch figures depend on it.
 type perfResult struct {
 	Bench        string              `json:"bench"`
 	Shape        map[string]int      `json:"shape"`
@@ -226,6 +229,8 @@ type perfResult struct {
 	Reps         int                 `json:"reps"`
 	Metrics      map[string]float64  `json:"metrics"`
 	Hists        map[string][]uint64 `json:"hists,omitempty"`
+	GOMAXPROCS   int                 `json:"gomaxprocs"`
+	GoVersion    string              `json:"go_version"`
 	UnixTime     int64               `json:"unix_time"`
 }
 
@@ -540,6 +545,7 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // concurrent reader (CI artifact collection, result-diffing tooling) never
 // observes a truncated or half-written BENCH_*.json.
 func writeBench(path string, v perfResult) error {
+	v.GOMAXPROCS, v.GoVersion = runtime.GOMAXPROCS(0), runtime.Version()
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package transformer
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/mathx"
@@ -67,13 +68,14 @@ func TestCompiledCacheSharedAndInvalidated(t *testing.T) {
 	}
 }
 
-// TestBatchedStepAllocsBounded bounds the batched decoding step at every
-// batch size the E21 scaling benchmark sweeps: after the scratch arena has
-// grown to the batch size, Step's only remaining allocations are the small
-// per-call bookkeeping (map clear is free, tensor views are reused), so the
-// whole step must stay within a handful of allocations regardless of batch
-// size or position. Each width gets a fresh predictor so the shrink policy
-// (constant batch ⇒ capacity == batch ⇒ no trim) never fires mid-measure.
+// TestBatchedStepAllocsBounded pins the serial batched decoding step at
+// every batch size the E21 scaling benchmark sweeps: after the scratch
+// arena has grown to the batch size, Step allocates nothing (map clear is
+// free, tensor views are reused) regardless of batch size or position.
+// testing.AllocsPerRun runs at GOMAXPROCS 1, so this is the unforked path;
+// TestBatchedStepZeroAllocsSplit pins the forked one. Each width gets a
+// fresh predictor so the shrink policy (constant batch ⇒ capacity == batch
+// ⇒ no trim) never fires mid-measure.
 func TestBatchedStepAllocsBounded(t *testing.T) {
 	cfg := Config{Vocab: 33, Dim: 32, Layers: 2, Heads: 2, Window: 600, Pos: PosLearned, Act: nn.GELU}
 	m := MustNew(cfg, mathx.NewRNG(5))
@@ -95,8 +97,8 @@ func TestBatchedStepAllocsBounded(t *testing.T) {
 			step() // warm the scratch
 		}
 		allocs := testing.AllocsPerRun(300, step)
-		if allocs > 2 {
-			t.Errorf("batch %d: BatchedPredictor.Step allocates %v per step at steady state, want <= 2", batch, allocs)
+		if allocs != 0 {
+			t.Errorf("batch %d: BatchedPredictor.Step allocates %v per step at steady state, want 0", batch, allocs)
 		}
 	}
 }
@@ -124,7 +126,7 @@ func TestBatchedScratchShrinksAfterBurst(t *testing.T) {
 	if cap(bp.rows) < burst {
 		t.Fatalf("scratch capacity %d after a %d-wide burst", cap(bp.rows), burst)
 	}
-	grown := cap(bp.x.Data)
+	grown := cap(bp.ranges[0].x.Data)
 	// The burst ends; one sequence keeps decoding.
 	for s := 0; s < scratchShrinkAfter+1; s++ {
 		bp.Step(ids[:1], toks[:1])
@@ -132,8 +134,8 @@ func TestBatchedScratchShrinksAfterBurst(t *testing.T) {
 	if cap(bp.rows) != 1 {
 		t.Errorf("scratch holds %d rows after %d single-row steps, want 1", cap(bp.rows), scratchShrinkAfter+1)
 	}
-	if cap(bp.x.Data) >= grown {
-		t.Errorf("residual scratch kept its burst capacity (%d floats)", cap(bp.x.Data))
+	if cap(bp.ranges[0].x.Data) >= grown {
+		t.Errorf("residual scratch kept its burst capacity (%d floats)", cap(bp.ranges[0].x.Data))
 	}
 	// A batch at (or near) the live capacity never trims: capacities stay
 	// put across far more than scratchShrinkAfter steps.
@@ -147,5 +149,50 @@ func TestBatchedScratchShrinksAfterBurst(t *testing.T) {
 	}
 	if cap(bp2.rows) != scratchMinRows {
 		t.Errorf("steady batch of %d saw its scratch resized to %d rows", scratchMinRows, cap(bp2.rows))
+	}
+}
+
+// TestBatchedStepZeroAllocsSplit pins the forked step's allocation
+// behavior: at GOMAXPROCS 2 on a shape that splits, a steady-state Step
+// allocates nothing at any width from 1 to 32 — the row ranges, their
+// scratch, the helpers and the join channel all persist across steps, and
+// the fork sends preallocated range descriptors rather than closures.
+// testing.AllocsPerRun would pin GOMAXPROCS to 1 and never fork, so the
+// count comes from the runtime's malloc counter around the steps.
+func TestBatchedStepZeroAllocsSplit(t *testing.T) {
+	setProcs(t, 2)
+	cfg := splitCfg(PosLearned, nn.GELU)
+	cfg.Window = 64
+	m := MustNew(cfg, mathx.NewRNG(9))
+	const runs = 20
+	for batch := 1; batch <= 32; batch++ {
+		bp := m.NewBatchedPredictor()
+		ids := make([]int, batch)
+		toks := make([]int, batch)
+		for i := range ids {
+			ids[i] = bp.Add()
+		}
+		rng := mathx.NewRNG(10)
+		step := func() {
+			for i := range toks {
+				toks[i] = rng.Intn(cfg.Vocab)
+			}
+			bp.Step(ids, toks)
+		}
+		for i := 0; i < 3; i++ {
+			step() // warm the scratch and start the helpers
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if allocs := (after.Mallocs - before.Mallocs) / runs; allocs != 0 {
+			t.Errorf("batch %d: Step allocates %d per step at GOMAXPROCS 2, want 0", batch, allocs)
+		}
+		if batch >= 5 && bp.split < 2 {
+			t.Errorf("batch %d: step ran on %d range(s), want a split", batch, bp.split)
+		}
 	}
 }

@@ -19,22 +19,35 @@ import (
 // the serving front end's continuous batching relies on.
 //
 // The step is cross-sequence GEMM work: every dense projection runs as one
-// packedMat.matMat sweep with the batch's residual rows as the right-hand
-// matrix, so each sixteen-row weight block is streamed from memory exactly
-// once per step regardless of batch size (four rows per stream through the
-// fused mathx.DotInterleaved16X4 kernel). Per-sequence attention reads the
-// same incrementally maintained interleaved key packs the chunked prefill
-// uses, sixteen keys per kernel call. Per-row arithmetic is
-// Predictor.Append's operation for operation — same kernels, same
-// accumulation orders — so the logits for a sequence are bitwise identical
-// to running it alone through a Predictor.
+// packedMat.matMat sweep with a row range's residual rows as the right-hand
+// matrix, so each sixteen-row weight block is streamed from memory once per
+// four-row group (the fused mathx.DotInterleaved16X4 kernel). Per-sequence
+// attention reads the same incrementally maintained interleaved key packs
+// the chunked prefill uses, sixteen keys per kernel call. Per-row
+// arithmetic is Predictor.Append's operation for operation — same kernels,
+// same accumulation orders — so the logits for a sequence are bitwise
+// identical to running it alone through a Predictor.
+//
+// Rows of one step are independent (each reads only its own sequence's KV
+// cache), so a step forks once: the batch is cut into contiguous ranges of
+// whole four-row groups, at most one per GOMAXPROCS and no more than the
+// step's dense work pays for (see splitWork), and each range runs the
+// entire forward — embedding, every block, final norm, unembedding —
+// on its own scratch set. The caller runs the first range and long-lived
+// helper goroutines run the rest; the step joins once at the end. Because
+// ranges are group-aligned, the split breaks no four-row kernel group, so
+// each weight block is still streamed once per group as in a serial step;
+// and because each row's arithmetic is unchanged, the split is invisible
+// in the logits.
 //
 // Like Predictor, the batched path avoids per-step churn: each sequence's
 // KV cache is preallocated to the window at Add, and all step intermediates
-// (projections, residuals, logits) live in a scratch arena reused across
-// Step calls. The arena grows to the largest live batch and is released
-// again when the batch stays well below that high-water mark (see
-// trimScratch), so a burst does not pin its peak footprint forever.
+// (projections, residuals, logits) live in per-range scratch arenas reused
+// across Step calls; the fork itself sends preallocated range descriptors
+// over a channel, so a steady-state Step allocates nothing at any width.
+// The arenas grow to the largest live batch and are released again when
+// the batch stays well below that high-water mark (see trimScratch), so a
+// burst does not pin its peak footprint forever.
 //
 // A BatchedPredictor reads model weights and is not safe for concurrent use;
 // the serving loop owns one and is the sole caller.
@@ -44,23 +57,15 @@ type BatchedPredictor struct {
 	seqs map[int]*batchSeq
 	next int
 
-	// Step scratch, grown to the largest batch seen and reused; overCap
+	// Step state, grown to the largest batch seen and reused; overCap
 	// counts consecutive steps far below capacity (the shrink hysteresis).
 	rows    []*batchSeq
 	seen    map[int]bool
 	overCap int
-	x       *tensor.Tensor // embeddings / residual stream (batch×Dim)
-	norm    *tensor.Tensor // layer-norm output (batch×Dim)
-	q       *tensor.Tensor // all heads' queries, head-major (batch×Dim)
-	k       *tensor.Tensor // all heads' keys (batch×Dim)
-	v       *tensor.Tensor // all heads' values (batch×Dim)
-	concat  *tensor.Tensor // concatenated head outputs (batch×Dim)
-	attnOut *tensor.Tensor // attention / FFN output (batch×Dim)
-	hidden  *tensor.Tensor // FFN hidden (batch×Hidden)
-	logits  *tensor.Tensor // unembedding output (batch×Vocab)
-	out     [][]float64    // per-sequence logit views handed to the caller
-	scores  []float64      // per-head attention scores (Window)
-	smax    []float64      // softmax scratch (Window)
+	out     [][]float64   // per-sequence logit views handed to the caller
+	ranges  []*stepRange  // per-range scratch; ranges[0] runs on the caller
+	done    chan struct{} // helper completions, one per forked range
+	split   int           // ranges the last Step ran on
 
 	// Prefill logits buffer, created on first Prefill and reused (the
 	// chunk scratch itself is pooled on the model).
@@ -70,6 +75,30 @@ type BatchedPredictor struct {
 	// per-position logits and the row views handed to the caller.
 	pfAll    *tensor.Tensor
 	pfAllOut [][]float64
+}
+
+// stepRange is one contiguous row range of a decode step together with the
+// scratch its forward pass runs on. Step points seqs, tokens and out at the
+// range's slice of the batch before running it.
+type stepRange struct {
+	bp     *BatchedPredictor
+	seqs   []*batchSeq
+	tokens []int
+	out    [][]float64
+
+	x       *tensor.Tensor // embeddings / residual stream (rows×Dim)
+	norm    *tensor.Tensor // layer-norm output (rows×Dim)
+	q       *tensor.Tensor // all heads' queries, head-major (rows×Dim)
+	k       *tensor.Tensor // all heads' keys (rows×Dim)
+	v       *tensor.Tensor // all heads' values (rows×Dim)
+	concat  *tensor.Tensor // concatenated head outputs (rows×Dim)
+	attnOut *tensor.Tensor // attention / FFN output (rows×Dim)
+	hidden  *tensor.Tensor // FFN hidden (rows×Hidden)
+	logits  *tensor.Tensor // unembedding output (rows×Vocab)
+	scores  []float64      // per-head attention scores (Window)
+	smax    []float64      // softmax scratch (Window)
+
+	fault any // a panic recovered on a helper, re-raised by Step
 }
 
 // batchSeq is one sequence's decoding state: positions processed so far and
@@ -88,12 +117,10 @@ type batchSeq struct {
 // the compile step snapshots the matrix weights at call time.
 func (m *Model) NewBatchedPredictor() *BatchedPredictor {
 	return &BatchedPredictor{
-		m:      m,
-		c:      m.compile(),
-		seqs:   map[int]*batchSeq{},
-		seen:   map[int]bool{},
-		scores: make([]float64, m.Cfg.Window),
-		smax:   make([]float64, m.Cfg.Window),
+		m:    m,
+		c:    m.compile(),
+		seqs: map[int]*batchSeq{},
+		seen: map[int]bool{},
 	}
 }
 
@@ -151,7 +178,8 @@ const (
 )
 
 // trimScratch applies the retention policy above before a step of the given
-// batch size; the following ensure calls regrow at the live size.
+// batch size, releasing every range and its arena; the following cut
+// rebuilds them at the live size.
 func (bp *BatchedPredictor) trimScratch(batch int) {
 	if cap(bp.rows) <= scratchMinRows || batch*scratchShrinkFactor > cap(bp.rows) {
 		bp.overCap = 0
@@ -161,57 +189,15 @@ func (bp *BatchedPredictor) trimScratch(batch int) {
 		return
 	}
 	bp.overCap = 0
-	bp.rows, bp.out = nil, nil
-	bp.x, bp.norm, bp.q, bp.k, bp.v = nil, nil, nil, nil, nil
-	bp.concat, bp.attnOut, bp.hidden, bp.logits = nil, nil, nil, nil
-}
-
-// rowParallelWork is the per-call flop count above which a per-row sweep
-// fans out across goroutines (matches tensor.MatMul's threshold scale).
-const rowParallelWork = 64 * 64 * 64
-
-// parallelRows reports whether a per-row sweep of the given total flop
-// count should fan out. Call sites keep a plain inline loop for the serial
-// case so the steady-state single-core path allocates nothing (a closure
-// passed to rowParallel escapes to the heap).
-func parallelRows(n, work int) bool {
-	return runtime.GOMAXPROCS(0) >= 2 && n >= 2 && work >= rowParallelWork
-}
-
-// rowParallel runs f(i) for every row i in [0, n) across GOMAXPROCS
-// goroutines; callers gate on parallelRows. Each row writes only its own
-// outputs, so the result is identical to the serial loop at any worker
-// count.
-func rowParallel(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	bp.rows, bp.out, bp.ranges = nil, nil, nil
 }
 
 // Step feeds one token per listed sequence and returns next-position logits
 // aligned with ids. Sequences not listed stay untouched, which lets callers
 // prefill a newly admitted request while others are mid-decode. It panics on
 // an unknown or duplicated id, and when a sequence's window is exhausted.
+// A panic inside any row range's forward pass is raised on the caller's
+// goroutine once every range has stopped.
 //
 // The returned rows are views into the predictor's step scratch: they are
 // valid until the next Step call (the serving loop and every decoding
@@ -246,12 +232,132 @@ func (bp *BatchedPredictor) Step(ids []int, tokens []int) [][]float64 {
 		}
 		seqs[i] = s
 	}
-	// Embed the step's tokens: one row per sequence, at that sequence's
-	// own position.
-	x := tensor.Ensure(&bp.x, batch, m.Cfg.Dim)
-	for i, s := range seqs {
+	out := bp.out[:batch]
+	ranges := bp.cut(seqs, tokens, out)
+	if len(ranges) == 1 {
+		ranges[0].run()
+	} else {
+		bp.fork(ranges)
+	}
+	for _, s := range seqs {
+		s.n++
+	}
+	return out
+}
+
+// splitWork is the least dense work, in multiply-adds, that each range of a
+// forked step must carry. Below it, waking a helper and joining it cost
+// about what the rows it takes off the caller save: on a 2-vCPU AVX-512
+// host a fork measured neutral at ~0.8M multiply-adds per range (E21 shape,
+// batch 16) and paid from ~1.7M up (E21 batch 32; the serving benchmark's
+// Dim-128 batch 8 carries ~3.2M).
+const splitWork = 1 << 20
+
+// cut splits the step's rows into contiguous ranges of whole four-row
+// groups — the DotInterleaved16X4 grouping matMat uses — one per
+// GOMAXPROCS at most and no more than the step's dense work can keep busy
+// (splitWork each), and points each range at its slice of the batch.
+func (bp *BatchedPredictor) cut(seqs []*batchSeq, tokens []int, out [][]float64) []*stepRange {
+	cfg := bp.m.Cfg
+	batch := len(seqs)
+	groups := (batch + 3) / 4
+	rowWork := cfg.Layers*cfg.Dim*(4*cfg.Dim+2*cfg.Hidden) + cfg.Vocab*cfg.Dim
+	n := max(1, min(runtime.GOMAXPROCS(0), groups, batch*rowWork/splitWork))
+	for len(bp.ranges) < n {
+		bp.ranges = append(bp.ranges, &stepRange{
+			bp:     bp,
+			scores: make([]float64, cfg.Window),
+			smax:   make([]float64, cfg.Window),
+		})
+	}
+	if cap(bp.done) < n-1 {
+		bp.done = make(chan struct{}, n-1)
+	}
+	for i, r := range bp.ranges[:n] {
+		lo, hi := i*groups/n*4, min((i+1)*groups/n*4, batch)
+		r.seqs, r.tokens, r.out = seqs[lo:hi], tokens[lo:hi], out[lo:hi]
+	}
+	bp.split = n
+	return bp.ranges[:n]
+}
+
+// fork runs ranges[0] on the calling goroutine and the rest on the step
+// helpers, and returns once all of them have finished. A panic in any
+// range — the caller's included — is recovered where it happens and
+// re-raised here only after the join, so no helper is still writing step
+// scratch or KV rows when the caller unwinds.
+func (bp *BatchedPredictor) fork(ranges []*stepRange) {
+	startStepHelpers(len(ranges) - 1)
+	for _, r := range ranges[1:] {
+		stepHelpers.work <- r
+	}
+	ranges[0].runGuarded()
+	for range ranges[1:] {
+		<-bp.done
+	}
+	var fault any
+	for _, r := range ranges {
+		if fault == nil {
+			fault = r.fault
+		}
+		r.fault = nil
+	}
+	if fault != nil {
+		panic(fault)
+	}
+}
+
+// stepHelpers is the pool of long-lived goroutines that run the forked
+// ranges of every BatchedPredictor's steps. It is process-wide rather than
+// per predictor because a predictor has no Close to stop its helpers with:
+// servers and benchmarks build predictors freely and leave them to the
+// garbage collector. The pool grows on demand to the widest fork seen
+// (GOMAXPROCS−1) and never shrinks; idle helpers park on the work channel.
+var stepHelpers struct {
+	mu   sync.Mutex
+	n    int
+	work chan *stepRange
+}
+
+// startStepHelpers ensures at least n helpers are running.
+func startStepHelpers(n int) {
+	stepHelpers.mu.Lock()
+	defer stepHelpers.mu.Unlock()
+	if stepHelpers.work == nil {
+		stepHelpers.work = make(chan *stepRange)
+	}
+	for ; stepHelpers.n < n; stepHelpers.n++ {
+		go stepHelper(stepHelpers.work)
+	}
+}
+
+// stepHelper runs forked ranges until the process exits, reporting each
+// completion to the range's predictor.
+func stepHelper(work <-chan *stepRange) {
+	for r := range work {
+		r.runGuarded()
+		r.bp.done <- struct{}{}
+	}
+}
+
+// runGuarded runs the range, recording a panic in r.fault instead of
+// unwinding.
+func (r *stepRange) runGuarded() {
+	defer func() { r.fault = recover() }()
+	r.run()
+}
+
+// run is the whole forward pass for the range's rows: embedding at each
+// sequence's own position, every block, the final layer norm, and the
+// unembedding, leaving each row's logits in r.out.
+func (r *stepRange) run() {
+	m := r.bp.m
+	c := r.bp.c
+	rows := len(r.seqs)
+	x := tensor.Ensure(&r.x, rows, m.Cfg.Dim)
+	for i, s := range r.seqs {
 		row := x.Row(i)
-		copy(row, m.TokEmb.W.Value.Row(tokens[i]))
+		copy(row, m.TokEmb.W.Value.Row(r.tokens[i]))
 		switch m.Cfg.Pos {
 		case PosLearned:
 			for j, v := range m.PosTable.Value.Row(s.n) {
@@ -264,55 +370,50 @@ func (bp *BatchedPredictor) Step(ids []int, tokens []int) [][]float64 {
 		}
 	}
 	for li, b := range m.Blocks {
-		bp.blockStepBatch(li, b, x, seqs)
+		r.blockStep(li, b, x)
 	}
 	layerNormRowsInto(x, x, m.FinalNorm)
 	// Unembedding as one blocked sweep: the vocab projection — the largest
-	// matrix in the model — streams once for the whole batch.
-	logits := tensor.Ensure(&bp.logits, batch, m.Cfg.Vocab)
-	bp.c.out.matMat(logits, x)
-	out := bp.out[:batch]
-	for i := 0; i < batch; i++ {
+	// matrix in the model — streams once per four-row group.
+	logits := tensor.Ensure(&r.logits, rows, m.Cfg.Vocab)
+	c.out.matMat(logits, x)
+	for i := range rows {
 		row := logits.Row(i)
-		for o, bv := range bp.c.outB {
+		for o, bv := range c.outB {
 			row[o] += bv
 		}
-		out[i] = row
+		r.out[i] = row
 	}
-	for _, s := range seqs {
-		s.n++
-	}
-	return out
 }
 
-// blockStepBatch advances one block over the residual stream in x, in place.
-// It is the cross-sequence form of Predictor.blockStep: the five dense
-// projections run as blocked matrix-matrix sweeps over all batch rows
-// (weights streamed once per step), and per-sequence attention scores
-// sixteen keys per kernel call against each sequence's interleaved key
-// pack. Row for row the arithmetic matches blockStep's bitwise.
-func (bp *BatchedPredictor) blockStepBatch(li int, b *Block, x *tensor.Tensor, seqs []*batchSeq) {
-	m := bp.m
-	cl := &bp.c.layers[li]
+// blockStep advances one block over the range's residual stream in x, in
+// place. It is the cross-sequence form of Predictor.blockStep: the five
+// dense projections run as blocked matrix-matrix sweeps over the range's
+// rows, and per-sequence attention scores sixteen keys per kernel call
+// against each sequence's interleaved key pack. Row for row the arithmetic
+// matches Predictor.blockStep's bitwise.
+func (r *stepRange) blockStep(li int, b *Block, x *tensor.Tensor) {
+	m := r.bp.m
+	cl := &r.bp.c.layers[li]
 	hd := m.Cfg.Dim / m.Cfg.Heads
 	batch := x.Shape[0]
 	attnIn := x
 	if !b.postNorm {
-		attnIn = layerNormRowsInto(tensor.Ensure(&bp.norm, batch, m.Cfg.Dim), x, b.LN1)
+		attnIn = layerNormRowsInto(tensor.Ensure(&r.norm, batch, m.Cfg.Dim), x, b.LN1)
 	}
 	// All heads' Q/K/V projections: three blocked sweeps shared by every
-	// sequence row.
-	q := tensor.Ensure(&bp.q, batch, m.Cfg.Dim)
-	k := tensor.Ensure(&bp.k, batch, m.Cfg.Dim)
-	v := tensor.Ensure(&bp.v, batch, m.Cfg.Dim)
+	// row of the range.
+	q := tensor.Ensure(&r.q, batch, m.Cfg.Dim)
+	k := tensor.Ensure(&r.k, batch, m.Cfg.Dim)
+	v := tensor.Ensure(&r.v, batch, m.Cfg.Dim)
 	cl.wq.matMat(q, attnIn)
 	cl.wk.matMat(k, attnIn)
 	cl.wv.matMat(v, attnIn)
-	concat := tensor.Ensure(&bp.concat, batch, m.Cfg.Dim)
+	concat := tensor.Ensure(&r.concat, batch, m.Cfg.Dim)
 	scale := 1 / math.Sqrt(float64(hd))
 	stride := m.Cfg.SparseStride
 	for hi := range b.Attn.heads {
-		for i, s := range seqs {
+		for i, s := range r.seqs {
 			kc, vc := s.keys[li][hi], s.vals[li][hi]
 			pos := s.n
 			krow := k.Row(i)[hi*hd : (hi+1)*hd]
@@ -320,7 +421,7 @@ func (bp *BatchedPredictor) blockStepBatch(li int, b *Block, x *tensor.Tensor, s
 			packKeyRow(s.kpacks[li][hi], krow, pos)
 			copy(vc.Row(pos), v.Row(i)[hi*hd:(hi+1)*hd])
 			qh := q.Row(i)[hi*hd : (hi+1)*hd]
-			scores := bp.scores[:pos+1]
+			scores := r.scores[:pos+1]
 			if stride > 0 {
 				for j := 0; j <= pos; j++ {
 					if pos-j >= stride && j%stride != 0 {
@@ -330,14 +431,14 @@ func (bp *BatchedPredictor) blockStepBatch(li int, b *Block, x *tensor.Tensor, s
 					scores[j] = mathx.Dot(qh, kc.Row(j)) * scale
 				}
 			} else {
-				packedAttnScores(bp.scores, qh, s.kpacks[li][hi], kc, pos, scale)
+				packedAttnScores(r.scores, qh, s.kpacks[li][hi], kc, pos, scale)
 			}
-			w := mathx.SoftmaxFastInto(scores, scores, bp.smax, 1)
+			w := mathx.SoftmaxFastInto(scores, scores, r.smax, 1)
 			out := concat.Row(i)[hi*hd : (hi+1)*hd]
 			weightedValueSum(out, vc, w, pos, hd)
 		}
 	}
-	attnOut := tensor.Ensure(&bp.attnOut, batch, m.Cfg.Dim)
+	attnOut := tensor.Ensure(&r.attnOut, batch, m.Cfg.Dim)
 	cl.wo.matMat(attnOut, concat)
 	addRows(x, attnOut, batch)
 	if b.postNorm {
@@ -345,9 +446,9 @@ func (bp *BatchedPredictor) blockStepBatch(li int, b *Block, x *tensor.Tensor, s
 	}
 	ffnIn := x
 	if !b.postNorm {
-		ffnIn = layerNormRowsInto(tensor.Ensure(&bp.norm, batch, m.Cfg.Dim), x, b.LN2)
+		ffnIn = layerNormRowsInto(tensor.Ensure(&r.norm, batch, m.Cfg.Dim), x, b.LN2)
 	}
-	h := tensor.Ensure(&bp.hidden, batch, m.Cfg.Hidden)
+	h := tensor.Ensure(&r.hidden, batch, m.Cfg.Hidden)
 	cl.ffnIn.matMat(h, ffnIn)
 	for i := 0; i < batch; i++ {
 		row := h.Row(i)
@@ -355,10 +456,10 @@ func (bp *BatchedPredictor) blockStepBatch(li int, b *Block, x *tensor.Tensor, s
 			row[j] += bv
 		}
 	}
-	// One vectorized activation sweep over the whole batch's hidden rows
+	// One vectorized activation sweep over the range's hidden rows
 	// (contiguous storage), elementwise bitwise-identical to actScalar.
 	actInto(b.FFN.Act, h.Data[:batch*m.Cfg.Hidden])
-	ffnOut := tensor.Ensure(&bp.attnOut, batch, m.Cfg.Dim)
+	ffnOut := tensor.Ensure(&r.attnOut, batch, m.Cfg.Dim)
 	cl.ffnOut.matMat(ffnOut, h)
 	for i := 0; i < batch; i++ {
 		row := ffnOut.Row(i)

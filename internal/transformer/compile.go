@@ -70,32 +70,15 @@ func (pm *packedMat) matVec(dst, x []float64) {
 // (same lanes, same ascending accumulation), so results are bitwise
 // identical to row-by-row matVec calls at any row count and any grouping.
 //
-// Large products fan out across GOMAXPROCS along whichever axis offers
-// more parallelism while preserving the fused streaming: four-row groups
-// (each worker streams every block once for its group — wide prefill
-// chunks) when there are at least as many groups as blocks, weight blocks
-// (each owns a disjoint sixteen-column stripe of dst, streamed exactly
-// once — tall projections over small batches) otherwise. Workers never
-// share outputs either way.
+// matMat is serial: it runs on the goroutine that calls it. Decode-step
+// parallelism lives one level up, where BatchedPredictor.Step splits its
+// rows into group-aligned ranges once per step and each range calls matMat
+// on its own rows.
 func (pm *packedMat) matMat(dst, xs *tensor.Tensor) {
 	rows := xs.Shape[0]
 	nb := pm.rows / 16
-	quads := (rows + 3) / 4
-	work := rows * pm.rows * pm.cols
-	switch {
-	case quads >= nb && parallelRows(quads, work):
-		rowParallel(quads, func(g int) {
-			lo := g * 4
-			for b := 0; b < nb; b++ {
-				pm.matMatBlock(b, dst, xs, lo, min(lo+4, rows))
-			}
-		})
-	case parallelRows(nb, work):
-		rowParallel(nb, func(b int) { pm.matMatBlock(b, dst, xs, 0, rows) })
-	default:
-		for b := 0; b < nb; b++ {
-			pm.matMatBlock(b, dst, xs, 0, rows)
-		}
+	for b := 0; b < nb; b++ {
+		pm.matMatBlock(b, dst, xs)
 	}
 	if pm.tail != nil {
 		base := nb * 16
@@ -108,12 +91,13 @@ func (pm *packedMat) matMat(dst, xs *tensor.Tensor) {
 	}
 }
 
-// matMatBlock runs one packed weight block over rows [lo, hi) of xs, four
-// rows per weight stream, then two, then one.
-func (pm *packedMat) matMatBlock(b int, dst, xs *tensor.Tensor, lo, hi int) {
+// matMatBlock runs one packed weight block over every row of xs, four rows
+// per weight stream, then two, then one.
+func (pm *packedMat) matMatBlock(b int, dst, xs *tensor.Tensor) {
 	blk := pm.blocks[b*pm.cols*16 : (b+1)*pm.cols*16]
-	r := lo
-	for ; r+4 <= hi; r += 4 {
+	rows := xs.Shape[0]
+	r := 0
+	for ; r+4 <= rows; r += 4 {
 		mathx.DotInterleaved16X4(
 			(*[16]float64)(dst.Row(r)[b*16:b*16+16]),
 			(*[16]float64)(dst.Row(r + 1)[b*16:b*16+16]),
@@ -121,13 +105,13 @@ func (pm *packedMat) matMatBlock(b int, dst, xs *tensor.Tensor, lo, hi int) {
 			(*[16]float64)(dst.Row(r + 3)[b*16:b*16+16]),
 			blk, xs.Row(r), xs.Row(r+1), xs.Row(r+2), xs.Row(r+3))
 	}
-	for ; r+2 <= hi; r += 2 {
+	for ; r+2 <= rows; r += 2 {
 		mathx.DotInterleaved16X2(
 			(*[16]float64)(dst.Row(r)[b*16:b*16+16]),
 			(*[16]float64)(dst.Row(r + 1)[b*16:b*16+16]),
 			blk, xs.Row(r), xs.Row(r+1))
 	}
-	for ; r < hi; r++ {
+	for ; r < rows; r++ {
 		mathx.DotInterleaved16((*[16]float64)(dst.Row(r)[b*16:b*16+16]), blk, xs.Row(r))
 	}
 }
