@@ -592,11 +592,10 @@ func BenchmarkDecodeToken(b *testing.B) {
 // cross-sequence GEMM step every packed weight block is streamed from
 // memory once per step regardless of N, so tokens/s should scale with N
 // until the per-sequence attention work (which cannot batch across
-// sequences) dominates (per-row matVec decoding instead re-streams the
-// whole weight set N times per step, pinning per-step cost to N × the
-// batch-1 cost). The serialN rungs measure that per-row baseline: N
-// independent Predictor.Append calls, the exact per-sequence work the old
-// per-row Step performed. Sequences re-arm at the window, so each rung
+// sequences) dominates (per-row decoding instead re-streams the whole
+// weight set N times per step, pinning per-step cost to N × the batch-1
+// cost). The serialN rungs measure that per-row baseline: N independent
+// Predictor.Append calls, each a width-1 step. Sequences re-arm at the window, so each rung
 // decodes the same position distribution regardless of iteration count.
 func BenchmarkBatchedDecodeScaling(b *testing.B) {
 	const vocab, window = 96, 64

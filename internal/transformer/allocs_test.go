@@ -47,7 +47,7 @@ func TestCompiledCacheSharedAndInvalidated(t *testing.T) {
 	m := MustNew(cfg, mathx.NewRNG(11))
 	p1 := m.NewPredictor()
 	p2 := m.NewPredictor()
-	if p1.c != p2.c {
+	if p1.bp.c != p2.bp.c {
 		t.Fatal("predictors built from unchanged weights should share the compiled view")
 	}
 	before := append([]float64(nil), p1.Append(1)...)
@@ -55,7 +55,7 @@ func TestCompiledCacheSharedAndInvalidated(t *testing.T) {
 	m.Output.W.Value.Data[0] += 1
 	m.InvalidateCompiled()
 	p3 := m.NewPredictor()
-	if p3.c == p1.c {
+	if p3.bp.c == p1.bp.c {
 		t.Fatal("InvalidateCompiled did not drop the cached view")
 	}
 	after := p3.Append(1)
@@ -63,7 +63,7 @@ func TestCompiledCacheSharedAndInvalidated(t *testing.T) {
 		t.Error("predictor built after invalidation still decodes the old weights")
 	}
 	// And the stale predictor keeps its snapshot (documented semantics).
-	if got := m.NewPredictor(); got.c != p3.c {
+	if got := m.NewPredictor(); got.bp.c != p3.bp.c {
 		t.Error("rebuilt view not shared by subsequent predictors")
 	}
 }

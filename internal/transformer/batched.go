@@ -2,12 +2,9 @@ package transformer
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
-	"repro/internal/mathx"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -18,15 +15,14 @@ import (
 // Sequences join (Add) and leave (Drop) the batch at any step, which is what
 // the serving front end's continuous batching relies on.
 //
-// The step is cross-sequence GEMM work: every dense projection runs as one
-// packedMat.matMat sweep with a row range's residual rows as the right-hand
-// matrix, so each sixteen-row weight block is streamed from memory once per
-// four-row group (the fused mathx.DotInterleaved16X4 kernel). Per-sequence
-// attention reads the same incrementally maintained interleaved key packs
-// the chunked prefill uses, sixteen keys per kernel call. Per-row
-// arithmetic is Predictor.Append's operation for operation — same kernels,
-// same accumulation orders — so the logits for a sequence are bitwise
-// identical to running it alone through a Predictor.
+// A step, a prefill chunk and a verification pass all run the one forward
+// kernel (scratch.forward): a step is one one-token segment per listed
+// sequence, so every dense projection runs as one packedMat.matMat sweep
+// with the step's residual rows as the right-hand matrix and each
+// sixteen-row weight block is streamed from memory once per four-row group
+// (the fused mathx.DotInterleaved16X4 kernel). Per-row arithmetic does not
+// depend on the grouping, so the logits for a sequence are bitwise
+// identical to running it alone, token by token, through a Predictor.
 //
 // Rows of one step are independent (each reads only its own sequence's KV
 // cache), so a step forks once: the batch is cut into contiguous ranges of
@@ -40,11 +36,11 @@ import (
 // and because each row's arithmetic is unchanged, the split is invisible
 // in the logits.
 //
-// Like Predictor, the batched path avoids per-step churn: each sequence's
-// KV cache is preallocated to the window at Add, and all step intermediates
-// (projections, residuals, logits) live in per-range scratch arenas reused
-// across Step calls; the fork itself sends preallocated range descriptors
-// over a channel, so a steady-state Step allocates nothing at any width.
+// Steps avoid per-call churn: each sequence's KV cache is preallocated to
+// the window at Add, and all step intermediates (projections, residuals,
+// logits) live in per-range scratch arenas reused across Step calls; the
+// fork itself sends preallocated range descriptors over a channel, so a
+// steady-state Step allocates nothing at any width.
 // The arenas grow to the largest live batch and are released again when
 // the batch stays well below that high-water mark (see trimScratch), so a
 // burst does not pin its peak footprint forever.
@@ -59,7 +55,7 @@ type BatchedPredictor struct {
 
 	// Step state, grown to the largest batch seen and reused; overCap
 	// counts consecutive steps far below capacity (the shrink hysteresis).
-	rows    []*batchSeq
+	rows    []segment // the step's one-token segments
 	seen    map[int]bool
 	overCap int
 	out     [][]float64   // per-sequence logit views handed to the caller
@@ -67,9 +63,9 @@ type BatchedPredictor struct {
 	done    chan struct{} // helper completions, one per forked range
 	split   int           // ranges the last Step ran on
 
-	// Prefill logits buffer, created on first Prefill and reused (the
+	// Prefill logits (1×Vocab), created on first Prefill and reused (the
 	// chunk scratch itself is pooled on the model).
-	pfLogits []float64
+	pfLogits *tensor.Tensor
 
 	// Verification scratch for PrefillAll, created on first use and reused:
 	// per-position logits and the row views handed to the caller.
@@ -78,25 +74,14 @@ type BatchedPredictor struct {
 }
 
 // stepRange is one contiguous row range of a decode step together with the
-// scratch its forward pass runs on. Step points seqs, tokens and out at the
-// range's slice of the batch before running it.
+// scratch its forward pass runs on. Step points segs and out at the range's
+// slice of the batch before running it.
 type stepRange struct {
-	bp     *BatchedPredictor
-	seqs   []*batchSeq
-	tokens []int
-	out    [][]float64
-
-	x       *tensor.Tensor // embeddings / residual stream (rows×Dim)
-	norm    *tensor.Tensor // layer-norm output (rows×Dim)
-	q       *tensor.Tensor // all heads' queries, head-major (rows×Dim)
-	k       *tensor.Tensor // all heads' keys (rows×Dim)
-	v       *tensor.Tensor // all heads' values (rows×Dim)
-	concat  *tensor.Tensor // concatenated head outputs (rows×Dim)
-	attnOut *tensor.Tensor // attention / FFN output (rows×Dim)
-	hidden  *tensor.Tensor // FFN hidden (rows×Hidden)
-	logits  *tensor.Tensor // unembedding output (rows×Vocab)
-	scores  []float64      // per-head attention scores (Window)
-	smax    []float64      // softmax scratch (Window)
+	bp   *BatchedPredictor
+	segs []segment
+	out  [][]float64
+	scratch
+	logits *tensor.Tensor // unembedding output (rows×Vocab)
 
 	fault any // a panic recovered on a helper, re-raised by Step
 }
@@ -112,9 +97,9 @@ type batchSeq struct {
 	kpacks [][][]float64
 }
 
-// NewBatchedPredictor compiles m's weights (the same packed layouts
-// Predictor uses) and returns an empty batch over them. Like NewPredictor,
-// the compile step snapshots the matrix weights at call time.
+// NewBatchedPredictor compiles m's weights into the packed inference layout
+// and returns an empty batch over them. The compile step snapshots the
+// matrix weights at call time (see compile).
 func (m *Model) NewBatchedPredictor() *BatchedPredictor {
 	return &BatchedPredictor{
 		m:    m,
@@ -149,6 +134,18 @@ func (bp *BatchedPredictor) Add() int {
 	return id
 }
 
+// keyPackLen is the per-head interleaved key-pack size: the window's full
+// sixteen-row blocks. Sparse-stride attention always scores through the
+// masked per-row path and never reads a pack, so those configs keep the
+// packs empty (packKeyRow on an empty pack is a no-op) rather than
+// doubling key-cache memory for nothing.
+func (c Config) keyPackLen(hd int) int {
+	if c.SparseStride > 0 {
+		return 0
+	}
+	return (c.Window / 16) * 16 * hd
+}
+
 // Drop releases a sequence and its KV cache.
 func (bp *BatchedPredictor) Drop(id int) { delete(bp.seqs, id) }
 
@@ -156,12 +153,15 @@ func (bp *BatchedPredictor) Drop(id int) { delete(bp.seqs, id) }
 func (bp *BatchedPredictor) Size() int { return len(bp.seqs) }
 
 // Len returns the number of positions processed for sequence id.
-func (bp *BatchedPredictor) Len(id int) int {
+func (bp *BatchedPredictor) Len(id int) int { return bp.seq(id).n }
+
+// seq returns sequence id's state, panicking when id is not registered.
+func (bp *BatchedPredictor) seq(id int) *batchSeq {
 	s := bp.seqs[id]
 	if s == nil {
 		panic(fmt.Sprintf("transformer: unknown batch sequence %d", id))
 	}
-	return s.n
+	return s
 }
 
 // Scratch-retention policy: the step arena tracks the largest batch seen,
@@ -213,16 +213,13 @@ func (bp *BatchedPredictor) Step(ids []int, tokens []int) [][]float64 {
 	batch := len(ids)
 	bp.trimScratch(batch)
 	if cap(bp.rows) < batch {
-		bp.rows = make([]*batchSeq, batch)
+		bp.rows = make([]segment, batch)
 		bp.out = make([][]float64, batch)
 	}
-	seqs := bp.rows[:batch]
+	segs := bp.rows[:batch]
 	clear(bp.seen)
 	for i, id := range ids {
-		s := bp.seqs[id]
-		if s == nil {
-			panic(fmt.Sprintf("transformer: unknown batch sequence %d", id))
-		}
+		s := bp.seq(id)
 		if bp.seen[id] {
 			panic(fmt.Sprintf("transformer: sequence %d listed twice in one step", id))
 		}
@@ -230,17 +227,17 @@ func (bp *BatchedPredictor) Step(ids []int, tokens []int) [][]float64 {
 		if s.n >= m.Cfg.Window {
 			panic("transformer: predictor window exhausted")
 		}
-		seqs[i] = s
+		segs[i] = segment{s, tokens[i : i+1]}
 	}
 	out := bp.out[:batch]
-	ranges := bp.cut(seqs, tokens, out)
+	ranges := bp.cut(segs, out)
 	if len(ranges) == 1 {
 		ranges[0].run()
 	} else {
 		bp.fork(ranges)
 	}
-	for _, s := range seqs {
-		s.n++
+	for _, sg := range segs {
+		sg.s.n++
 	}
 	return out
 }
@@ -257,25 +254,21 @@ const splitWork = 1 << 20
 // groups — the DotInterleaved16X4 grouping matMat uses — one per
 // GOMAXPROCS at most and no more than the step's dense work can keep busy
 // (splitWork each), and points each range at its slice of the batch.
-func (bp *BatchedPredictor) cut(seqs []*batchSeq, tokens []int, out [][]float64) []*stepRange {
+func (bp *BatchedPredictor) cut(segs []segment, out [][]float64) []*stepRange {
 	cfg := bp.m.Cfg
-	batch := len(seqs)
+	batch := len(segs)
 	groups := (batch + 3) / 4
 	rowWork := cfg.Layers*cfg.Dim*(4*cfg.Dim+2*cfg.Hidden) + cfg.Vocab*cfg.Dim
 	n := max(1, min(runtime.GOMAXPROCS(0), groups, batch*rowWork/splitWork))
 	for len(bp.ranges) < n {
-		bp.ranges = append(bp.ranges, &stepRange{
-			bp:     bp,
-			scores: make([]float64, cfg.Window),
-			smax:   make([]float64, cfg.Window),
-		})
+		bp.ranges = append(bp.ranges, &stepRange{bp: bp})
 	}
 	if cap(bp.done) < n-1 {
 		bp.done = make(chan struct{}, n-1)
 	}
 	for i, r := range bp.ranges[:n] {
 		lo, hi := i*groups/n*4, min((i+1)*groups/n*4, batch)
-		r.seqs, r.tokens, r.out = seqs[lo:hi], tokens[lo:hi], out[lo:hi]
+		r.segs, r.out = segs[lo:hi], out[lo:hi]
 	}
 	bp.split = n
 	return bp.ranges[:n]
@@ -347,138 +340,54 @@ func (r *stepRange) runGuarded() {
 	r.run()
 }
 
-// run is the whole forward pass for the range's rows: embedding at each
-// sequence's own position, every block, the final layer norm, and the
-// unembedding, leaving each row's logits in r.out.
+// run is the range's forward pass: each row's token through every block
+// at its sequence's own position, leaving each row's logits in r.out.
 func (r *stepRange) run() {
-	m := r.bp.m
-	c := r.bp.c
-	rows := len(r.seqs)
-	x := tensor.Ensure(&r.x, rows, m.Cfg.Dim)
-	for i, s := range r.seqs {
-		row := x.Row(i)
-		copy(row, m.TokEmb.W.Value.Row(r.tokens[i]))
-		switch m.Cfg.Pos {
-		case PosLearned:
-			for j, v := range m.PosTable.Value.Row(s.n) {
-				row[j] += v
-			}
-		case PosSinusoidal:
-			for j, v := range m.sinTable.Row(s.n) {
-				row[j] += v
-			}
-		}
-	}
-	for li, b := range m.Blocks {
-		r.blockStep(li, b, x)
-	}
-	layerNormRowsInto(x, x, m.FinalNorm)
-	// Unembedding as one blocked sweep: the vocab projection — the largest
-	// matrix in the model — streams once per four-row group.
-	logits := tensor.Ensure(&r.logits, rows, m.Cfg.Vocab)
-	c.out.matMat(logits, x)
-	for i := range rows {
-		row := logits.Row(i)
-		for o, bv := range c.outB {
-			row[o] += bv
-		}
-		r.out[i] = row
+	logits := r.forward(r.bp.m, r.bp.c, r.segs, false, &r.logits)
+	for i := range r.out {
+		r.out[i] = logits.Row(i)
 	}
 }
 
-// blockStep advances one block over the range's residual stream in x, in
-// place. It is the cross-sequence form of Predictor.blockStep: the five
-// dense projections run as blocked matrix-matrix sweeps over the range's
-// rows, and per-sequence attention scores sixteen keys per kernel call
-// against each sequence's interleaved key pack. Row for row the arithmetic
-// matches Predictor.blockStep's bitwise.
-func (r *stepRange) blockStep(li int, b *Block, x *tensor.Tensor) {
-	m := r.bp.m
-	cl := &r.bp.c.layers[li]
-	hd := m.Cfg.Dim / m.Cfg.Heads
-	batch := x.Shape[0]
-	attnIn := x
-	if !b.postNorm {
-		attnIn = layerNormRowsInto(tensor.Ensure(&r.norm, batch, m.Cfg.Dim), x, b.LN1)
+// Prefill feeds a whole chunk of tokens to one batch sequence and returns
+// the logits for the position after the last one — bitwise identical to
+// stepping the sequence alone through Step once per token, at a fraction
+// of the cost (the chunk is one segment of the forward pass, so its dense
+// work streams each weight block once per four chunk rows, and only the
+// last position is unembedded). Sequences not named are untouched, which
+// is what lets the serving loop interleave bounded prefill chunks with
+// decode steps. If ids exceeds the sequence's remaining window room, only
+// the last Window−Len(id) tokens are ingested (keep-last truncation,
+// matching the prompt-window policy of EncodePrompt); it returns nil when
+// no tokens remain.
+//
+// The returned slice is reusable scratch, valid until the next Prefill
+// call. Steady-state Prefill calls allocate nothing once the pooled chunk
+// scratch has grown to the caller's chunk size.
+func (bp *BatchedPredictor) Prefill(id int, ids []int) []float64 {
+	logits := bp.chunk(id, ids, false, &bp.pfLogits)
+	if logits == nil {
+		return nil
 	}
-	// All heads' Q/K/V projections: three blocked sweeps shared by every
-	// row of the range.
-	q := tensor.Ensure(&r.q, batch, m.Cfg.Dim)
-	k := tensor.Ensure(&r.k, batch, m.Cfg.Dim)
-	v := tensor.Ensure(&r.v, batch, m.Cfg.Dim)
-	cl.wq.matMat(q, attnIn)
-	cl.wk.matMat(k, attnIn)
-	cl.wv.matMat(v, attnIn)
-	concat := tensor.Ensure(&r.concat, batch, m.Cfg.Dim)
-	scale := 1 / math.Sqrt(float64(hd))
-	stride := m.Cfg.SparseStride
-	for hi := range b.Attn.heads {
-		for i, s := range r.seqs {
-			kc, vc := s.keys[li][hi], s.vals[li][hi]
-			pos := s.n
-			krow := k.Row(i)[hi*hd : (hi+1)*hd]
-			copy(kc.Row(pos), krow)
-			packKeyRow(s.kpacks[li][hi], krow, pos)
-			copy(vc.Row(pos), v.Row(i)[hi*hd:(hi+1)*hd])
-			qh := q.Row(i)[hi*hd : (hi+1)*hd]
-			scores := r.scores[:pos+1]
-			if stride > 0 {
-				for j := 0; j <= pos; j++ {
-					if pos-j >= stride && j%stride != 0 {
-						scores[j] = math.Inf(-1)
-						continue
-					}
-					scores[j] = mathx.Dot(qh, kc.Row(j)) * scale
-				}
-			} else {
-				packedAttnScores(r.scores, qh, s.kpacks[li][hi], kc, pos, scale)
-			}
-			w := mathx.SoftmaxFastInto(scores, scores, r.smax, 1)
-			out := concat.Row(i)[hi*hd : (hi+1)*hd]
-			weightedValueSum(out, vc, w, pos, hd)
-		}
-	}
-	attnOut := tensor.Ensure(&r.attnOut, batch, m.Cfg.Dim)
-	cl.wo.matMat(attnOut, concat)
-	addRows(x, attnOut, batch)
-	if b.postNorm {
-		layerNormRowsInto(x, x, b.LN1)
-	}
-	ffnIn := x
-	if !b.postNorm {
-		ffnIn = layerNormRowsInto(tensor.Ensure(&r.norm, batch, m.Cfg.Dim), x, b.LN2)
-	}
-	h := tensor.Ensure(&r.hidden, batch, m.Cfg.Hidden)
-	cl.ffnIn.matMat(h, ffnIn)
-	for i := 0; i < batch; i++ {
-		row := h.Row(i)
-		for j, bv := range cl.ffnInB {
-			row[j] += bv
-		}
-	}
-	// One vectorized activation sweep over the range's hidden rows
-	// (contiguous storage), elementwise bitwise-identical to actScalar.
-	actInto(b.FFN.Act, h.Data[:batch*m.Cfg.Hidden])
-	ffnOut := tensor.Ensure(&r.attnOut, batch, m.Cfg.Dim)
-	cl.ffnOut.matMat(ffnOut, h)
-	for i := 0; i < batch; i++ {
-		row := ffnOut.Row(i)
-		for j, bv := range cl.ffnOutB {
-			row[j] += bv
-		}
-	}
-	addRows(x, ffnOut, batch)
-	if b.postNorm {
-		layerNormRowsInto(x, x, b.LN2)
-	}
+	return logits.Row(0)
 }
 
-// layerNormRowsInto applies the inference-path layer norm row-by-row into
-// dst (which may alias x), reusing the same per-vector kernel as Predictor
-// so batched and unbatched decoding agree bitwise.
-func layerNormRowsInto(dst, x *tensor.Tensor, ln *nn.LayerNorm) *tensor.Tensor {
-	for i := 0; i < x.Shape[0]; i++ {
-		layerNormInto(dst.Row(i), x.Row(i), ln)
+// chunk runs ids through the forward pass as one segment of sequence id on
+// pooled scratch, into *logits (see scratch.forward for all), and advances
+// the sequence. It returns nil when no tokens fit the window.
+func (bp *BatchedPredictor) chunk(id int, ids []int, all bool, logits **tensor.Tensor) *tensor.Tensor {
+	s := bp.seq(id)
+	ids = truncTail(ids, bp.m.Cfg.Window-s.n)
+	if len(ids) == 0 {
+		return nil
 	}
-	return dst
+	sc, _ := bp.m.pfPool.Get().(*scratch)
+	if sc == nil {
+		sc = &scratch{}
+	}
+	defer bp.m.pfPool.Put(sc)
+	segs := [1]segment{{s, ids}}
+	out := sc.forward(bp.m, bp.c, segs[:], all, logits)
+	s.n += len(ids)
+	return out
 }

@@ -1,6 +1,8 @@
 package transformer
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mathx"
@@ -242,6 +244,23 @@ func TestBatchedPredictorPanics(t *testing.T) {
 		f()
 	}
 	expectPanic("unknown id", func() { bp.Step([]int{99}, []int{0}) })
+	// Every per-sequence entry point names the unknown id in its panic.
+	for name, f := range map[string]func(){
+		"Step":       func() { bp.Step([]int{99}, []int{0}) },
+		"Prefill":    func() { bp.Prefill(99, []int{0}) },
+		"PrefillAll": func() { bp.PrefillAll(99, []int{0}) },
+		"Rewind":     func() { bp.Rewind(99, 0) },
+		"Len":        func() { bp.Len(99) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "unknown batch sequence 99") {
+					t.Errorf("%s on an unknown id: panic %q does not name the id", name, msg)
+				}
+			}()
+			f()
+		}()
+	}
 	expectPanic("duplicate id", func() { bp.Step([]int{id, id}, []int{0, 0}) })
 	expectPanic("length mismatch", func() { bp.Step([]int{id}, []int{0, 1}) })
 	bp.Step([]int{id}, []int{0})

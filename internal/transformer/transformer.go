@@ -203,9 +203,9 @@ type Model struct {
 	compiledMu    sync.Mutex
 	compiledCache *compiledModel
 
-	// Chunk-prefill scratch, pooled per model so each serving request's
-	// fresh predictor reuses a previous request's buffers instead of
-	// allocating them on its first Extend/Prefill.
+	// Chunk-pass scratch (*scratch), pooled per model so each serving
+	// request's fresh predictor reuses a previous request's buffers instead
+	// of allocating them on its first Prefill/PrefillAll.
 	pfPool sync.Pool
 }
 
@@ -483,49 +483,22 @@ func GPT3Estimate(dBlocks, p int) int {
 // rebuilding the full O(L²) graph. It reads the trained weights and does
 // not construct autograd state.
 //
-// Predictor is the decode fast path: NewPredictor runs an inference compile
-// step that packs every projection into transposed contiguous layout, the
-// KV cache is preallocated to the full window (no copy-growth per token),
-// and all intermediate vectors live in a per-predictor scratch arena reused
-// across Append calls — steady-state decoding performs zero heap
-// allocations while producing logits bitwise identical to the training
-// graph's forward pass.
+// Predictor is a width-1 view of BatchedPredictor: one sequence of a
+// private batch, with Append, Extend, ExtendAll, Rewind and Len delegating
+// to Step, Prefill, PrefillAll, Rewind and Len. It therefore shares the
+// batch's decode fast path — packed weights, a KV cache preallocated to
+// the full window, reused scratch, the one forward kernel — and decodes
+// with zero steady-state heap allocations, producing logits bitwise
+// identical to the training graph's forward pass.
 //
 // Predictor is the transformer's streaming hook: it satisfies
 // sample.Stepper, so the unified generation API (lm.Gen / lm.Stream and the
 // serving front end) drives it token by token exactly like the other model
 // substrates.
 type Predictor struct {
-	m *Model
-	c *compiledModel
-	// Per layer, per head: cached keys and values, preallocated to Window
-	// rows; rows [0, n) are valid. kpacks mirrors the key cache in the
-	// sixteen-row interleaved layout (see packKeyRow), maintained
-	// incrementally as each key row is written, so both decode scoring and
-	// chunked prefill read ready-packed blocks instead of re-packing the
-	// prefix.
-	keys   [][]*tensor.Tensor
-	vals   [][]*tensor.Tensor
-	kpacks [][][]float64
-	n      int
-
-	// Scratch arena, sized once in NewPredictor and reused every Append.
-	x      []float64 // residual stream (Dim)
-	norm   []float64 // layer-norm output (Dim)
-	q      []float64 // all heads' queries, head-major (Dim)
-	k      []float64 // all heads' keys (Dim)
-	v      []float64 // all heads' values (Dim)
-	concat []float64 // concatenated head outputs (Dim)
-	att    []float64 // attention output / FFN output (Dim)
-	hidden []float64 // FFN hidden (Hidden)
-	scores []float64 // attention scores/weights (Window)
-	smax   []float64 // softmax scratch (Window)
-	logits []float64 // next-token logits (Vocab)
-
-	// Verification scratch, created on first ExtendAll and reused: the
-	// per-position logits matrix and the row views handed to the caller.
-	allLogits *tensor.Tensor
-	allOut    [][]float64
+	bp  *BatchedPredictor
+	id  [1]int // the view's sequence, as Step's ids argument
+	tok [1]int // Append's token, as Step's tokens argument
 }
 
 // NewPredictor compiles m's weights into the packed inference layout and
@@ -533,53 +506,13 @@ type Predictor struct {
 // the matrix weights; training m further does not retarget an existing
 // predictor.
 func (m *Model) NewPredictor() *Predictor {
-	cfg := m.Cfg
-	p := &Predictor{
-		m:      m,
-		c:      m.compile(),
-		x:      make([]float64, cfg.Dim),
-		norm:   make([]float64, cfg.Dim),
-		q:      make([]float64, cfg.Dim),
-		k:      make([]float64, cfg.Dim),
-		v:      make([]float64, cfg.Dim),
-		concat: make([]float64, cfg.Dim),
-		att:    make([]float64, cfg.Dim),
-		hidden: make([]float64, cfg.Hidden),
-		scores: make([]float64, cfg.Window),
-		smax:   make([]float64, cfg.Window),
-		logits: make([]float64, cfg.Vocab),
-	}
-	hd := cfg.Dim / cfg.Heads
-	p.keys = make([][]*tensor.Tensor, len(m.Blocks))
-	p.vals = make([][]*tensor.Tensor, len(m.Blocks))
-	p.kpacks = make([][][]float64, len(m.Blocks))
-	for i, b := range m.Blocks {
-		p.keys[i] = make([]*tensor.Tensor, b.Attn.NumHeads())
-		p.vals[i] = make([]*tensor.Tensor, b.Attn.NumHeads())
-		p.kpacks[i] = make([][]float64, b.Attn.NumHeads())
-		for h := range p.keys[i] {
-			p.keys[i][h] = tensor.New(cfg.Window, hd)
-			p.vals[i][h] = tensor.New(cfg.Window, hd)
-			p.kpacks[i][h] = make([]float64, cfg.keyPackLen(hd))
-		}
-	}
+	p := &Predictor{bp: m.NewBatchedPredictor()}
+	p.id[0] = p.bp.Add()
 	return p
 }
 
-// keyPackLen is the per-head interleaved key-pack size: the window's full
-// sixteen-row blocks. Sparse-stride attention always scores through the
-// masked per-row path and never reads a pack, so those configs keep the
-// packs empty (packKeyRow on an empty pack is a no-op) rather than
-// doubling key-cache memory for nothing.
-func (c Config) keyPackLen(hd int) int {
-	if c.SparseStride > 0 {
-		return 0
-	}
-	return (c.Window / 16) * 16 * hd
-}
-
 // Len returns the number of cached positions.
-func (p *Predictor) Len() int { return p.n }
+func (p *Predictor) Len() int { return p.bp.Len(p.id[0]) }
 
 // Append feeds one token and returns the logits for the next position
 // (length Vocab). It panics when the window is exhausted.
@@ -588,103 +521,32 @@ func (p *Predictor) Len() int { return p.n }
 // the next Append call, matching how every decoding loop in this repository
 // consumes logits (pick a token, then step again). Clone it to retain.
 func (p *Predictor) Append(id int) []float64 {
-	m := p.m
-	if p.n >= m.Cfg.Window {
-		panic("transformer: predictor window exhausted")
-	}
-	pos := p.n
-	// Embed the single token.
-	copy(p.x, m.TokEmb.W.Value.Row(id))
-	switch m.Cfg.Pos {
-	case PosLearned:
-		for j, v := range m.PosTable.Value.Row(pos) {
-			p.x[j] += v
-		}
-	case PosSinusoidal:
-		for j, v := range m.sinTable.Row(pos) {
-			p.x[j] += v
-		}
-	}
-	for li, b := range m.Blocks {
-		p.blockStep(li, b, pos)
-	}
-	layerNormInto(p.norm, p.x, m.FinalNorm)
-	// Unembedding through the packed kernel.
-	c := p.c
-	c.out.matVec(p.logits, p.norm)
-	for o, bv := range c.outB {
-		p.logits[o] += bv
-	}
-	p.n++
-	return p.logits
+	p.tok[0] = id
+	return p.bp.Step(p.id[:], p.tok[:])[0]
 }
 
-// blockStep advances one block over the residual stream in p.x, in place.
-func (p *Predictor) blockStep(li int, b *Block, pos int) {
-	m := p.m
-	cl := &p.c.layers[li]
-	hd := m.Cfg.Dim / m.Cfg.Heads
-	attnIn := p.x
-	if !b.postNorm {
-		layerNormInto(p.norm, p.x, b.LN1)
-		attnIn = p.norm
-	}
-	// Q/K/V for every head in three packed sweeps.
-	cl.wq.matVec(p.q, attnIn)
-	cl.wk.matVec(p.k, attnIn)
-	cl.wv.matVec(p.v, attnIn)
-	scale := 1 / math.Sqrt(float64(hd))
-	stride := m.Cfg.SparseStride
-	for hi := 0; hi < m.Cfg.Heads; hi++ {
-		kc, vc := p.keys[li][hi], p.vals[li][hi]
-		qh := p.q[hi*hd : (hi+1)*hd]
-		krow := p.k[hi*hd : (hi+1)*hd]
-		copy(kc.Row(pos), krow)
-		packKeyRow(p.kpacks[li][hi], krow, pos)
-		copy(vc.Row(pos), p.v[hi*hd:(hi+1)*hd])
-		scores := p.scores[:pos+1]
-		if stride > 0 {
-			for j := 0; j <= pos; j++ {
-				if pos-j >= stride && j%stride != 0 {
-					scores[j] = math.Inf(-1)
-					continue
-				}
-				scores[j] = mathx.Dot(qh, kc.Row(j)) * scale
-			}
-		} else {
-			packedAttnScores(p.scores, qh, p.kpacks[li][hi], kc, pos, scale)
-		}
-		w := mathx.SoftmaxFastInto(scores, scores, p.smax, 1)
-		out := p.concat[hi*hd : (hi+1)*hd]
-		weightedValueSum(out, vc, w, pos, hd)
-	}
-	cl.wo.matVec(p.att, p.concat)
-	for i := range p.x {
-		p.x[i] += p.att[i]
-	}
-	if b.postNorm {
-		layerNormInto(p.x, p.x, b.LN1)
-	}
-	ffnIn := p.x
-	if !b.postNorm {
-		layerNormInto(p.norm, p.x, b.LN2)
-		ffnIn = p.norm
-	}
-	cl.ffnIn.matVec(p.hidden, ffnIn)
-	for r, bv := range cl.ffnInB {
-		p.hidden[r] = actScalar(b.FFN.Act, p.hidden[r]+bv)
-	}
-	cl.ffnOut.matVec(p.att, p.hidden)
-	for r, bv := range cl.ffnOutB {
-		p.att[r] += bv
-	}
-	for i := range p.x {
-		p.x[i] += p.att[i]
-	}
-	if b.postNorm {
-		layerNormInto(p.x, p.x, b.LN2)
-	}
-}
+// Extend feeds a whole chunk of tokens and returns the logits for the
+// position after the last one — bitwise identical to calling Append on each
+// id in order and keeping the final result, at a fraction of the cost (see
+// BatchedPredictor.Prefill, including its keep-last window truncation). It
+// returns nil when no tokens remain to ingest. The returned slice is
+// reusable scratch, valid until the next Extend call.
+func (p *Predictor) Extend(ids []int) []float64 { return p.bp.Prefill(p.id[0], ids) }
+
+// ExtendAll feeds a chunk of tokens like Extend but returns next-token
+// logits for every chunk position, not just the last: row r is bitwise
+// identical to what Append(ids[r]) would have returned (see
+// BatchedPredictor.PrefillAll, the speculative-decoding verification pass).
+// The returned rows are views into reusable scratch, valid until the next
+// ExtendAll call.
+func (p *Predictor) ExtendAll(ids []int) [][]float64 { return p.bp.PrefillAll(p.id[0], ids) }
+
+// Rewind discards the last n cached positions, as if the tokens that
+// produced them had never been fed. It panics when n is negative or exceeds
+// the cached length. The next Append/Extend continues from the truncated
+// position with logits bitwise identical to a predictor that never saw the
+// discarded tokens.
+func (p *Predictor) Rewind(n int) { p.bp.Rewind(p.id[0], n) }
 
 // weightedValueSum accumulates the attention-weighted value rows into out:
 // out[d] = Σ_j w[j]·v_j[d], j ascending (Eq. 13's convex combination). For
@@ -718,9 +580,8 @@ func weightedValueSum(out []float64, vc *tensor.Tensor, w []float64, pos, hd int
 // pack holds only the window's full sixteen-row blocks; a position in the
 // final partial block has no pack slot and is scored straight from the
 // position-major cache. Maintaining the pack incrementally as each key is
-// written — by Append, the batched Step, and the chunked prefill alike —
-// means every scoring path reads ready-packed blocks and nothing ever
-// re-packs the prefix.
+// written by the forward pass means attention reads ready-packed blocks
+// and nothing ever re-packs the prefix.
 func packKeyRow(kp, row []float64, pos int) {
 	hd := len(row)
 	blk := pos >> 4
@@ -734,35 +595,8 @@ func packKeyRow(kp, row []float64, pos int) {
 	}
 }
 
-// packedAttnScores fills scores[j] = (q · key row j)·scale for j in
-// [0, pos]: sixteen keys per interleaved kernel call over the key pack's
-// full blocks, then a scalar tail over the position-major cache rows past
-// the last full block. Each score accumulates its products in the same
-// ascending element order as a plain mathx.Dot, and the scale multiply is
-// one multiplication per score either way, so results are bitwise
-// identical to the per-row loop this replaces. The caller handles the
-// sparse-stride mask, which disables this dense kernel.
-func packedAttnScores(scores, q, kp []float64, keys *tensor.Tensor, pos int, scale float64) {
-	hd := keys.Shape[1]
-	if len(q) != hd {
-		panic("transformer: packedAttnScores length mismatch")
-	}
-	nb := (pos + 1) / 16
-	for bk := 0; bk < nb; bk++ {
-		mathx.DotInterleaved16((*[16]float64)(scores[bk*16:bk*16+16]),
-			kp[bk*16*hd:(bk+1)*16*hd], q)
-	}
-	for j := nb * 16; j <= pos; j++ {
-		scores[j] = mathx.Dot(keys.Row(j), q)
-	}
-	s := scores[:pos+1]
-	for j := range s {
-		s[j] *= scale
-	}
-}
-
 // layerNormInto writes ln(x) into dst (dst may alias x): the inference-path
-// layer norm shared by the single-token and batched decode kernels.
+// layer norm, applied one row at a time by the forward kernel.
 func layerNormInto(dst, x []float64, ln *nn.LayerNorm) {
 	mu := mathx.Mean(x)
 	va := 0.0
@@ -779,6 +613,8 @@ func layerNormInto(dst, x []float64, ln *nn.LayerNorm) {
 	}
 }
 
+// actScalar applies the activation to one value: the elementwise
+// definition actInto's vectorized sweep reproduces bitwise.
 func actScalar(a nn.Activation, x float64) float64 {
 	switch a {
 	case nn.ReLU:
